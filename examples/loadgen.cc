@@ -216,6 +216,9 @@ main(int argc, char** argv)
                     static_cast<unsigned long long>(result.reconnects));
     std::printf("latency summary (ms, from scheduled arrival): %s\n",
                 summary.toString().c_str());
+    std::printf("client lateness (us, send - scheduled): p50 %.1f p99 %.1f\n",
+                result.lateness.percentile(0.50) * 1000.0,
+                result.lateness.percentile(0.99) * 1000.0);
     if (config.warmupMs > 0.0)
         std::printf("warm-up: %llu responses inside the first %.0f ms "
                     "excluded from the summary\n",

@@ -3,8 +3,9 @@
 # --listen on a loopback port, drive it with the open-loop load generator
 # for ~2 seconds at low QPS, poll the /statsz introspection endpoint
 # mid-run (it must answer within its 100 ms deadline and produce
-# well-formed Prometheus exposition text), and assert a non-empty latency
-# summary (loadgen exits nonzero when no request completed). Used by CI
+# well-formed Prometheus exposition text), assert a non-empty latency
+# summary (loadgen exits nonzero when no request completed) and a client
+# lateness p50 under 300 us (the client paces on time). Used by CI
 # on the Release build; sanitizer jobs skip it (timing-sensitive).
 #
 # Usage: scripts/net_smoke.sh [build-dir]
@@ -41,8 +42,9 @@ PORT="$(sed -n 's/.*listening on 127\.0\.0\.1:\([0-9]*\).*/\1/p' "${LOG}" \
 echo "net_smoke: server chose port ${PORT}"
 
 # Drive load in the background so /statsz can be polled mid-run.
+LOADGEN_LOG="$(mktemp)"
 "${BUILD_DIR}/examples/loadgen" --port "${PORT}" --qps 50 --duration-s 2 \
-    --csv-out "${CSV}" &
+    --csv-out "${CSV}" > "${LOADGEN_LOG}" &
 LOADGEN_PID=$!
 
 # Poll the introspection endpoint while the server is busy. The 100 ms
@@ -81,6 +83,21 @@ if [ "${BAD_LINES}" -ne 0 ]; then
 fi
 
 wait "${LOADGEN_PID}"
+cat "${LOADGEN_LOG}"
+
+# The client must send on schedule: its lateness is part of every
+# latency it reports. A timeout rounded up to whole ms would put the
+# median near 500 us.
+LATE_P50="$(sed -n 's/^client lateness (us, send - scheduled): p50 \([0-9.]*\) .*/\1/p' \
+    "${LOADGEN_LOG}")"
+[ -n "${LATE_P50}" ] || {
+    echo "net_smoke: loadgen printed no client lateness line" >&2
+    exit 1
+}
+if ! awk -v late="${LATE_P50}" 'BEGIN { exit !(late < 300) }'; then
+    echo "net_smoke: client lateness p50 ${LATE_P50} us >= 300 us" >&2
+    exit 1
+fi
 
 # Graceful drain via SIGINT; the server must exit cleanly.
 kill -INT "${SERVER_PID}"

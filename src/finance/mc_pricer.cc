@@ -1,9 +1,12 @@
 #include "finance/mc_pricer.h"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/ziggurat.h"
 
 namespace tpc::finance {
 
@@ -14,19 +17,21 @@ MonteCarloPricer::priceChunk(const AsianOptionParams& params,
 {
     TPC_CHECK(params.steps >= 1);
     util::Rng rng(seed);
+    util::ZigguratNormal normal(rng);
     const double dt = params.maturityYears / params.steps;
     const double drift =
         (params.riskFreeRate - 0.5 * params.volatility * params.volatility) *
         dt;
     const double diffusion = params.volatility * std::sqrt(dt);
+    const double logSpot0 = std::log(params.spot);
 
     double localSum = 0.0;
     double localSumSq = 0.0;
     for (std::uint64_t p = 0; p < paths; ++p) {
-        double logSpot = std::log(params.spot);
+        double logSpot = logSpot0;
         double pathSum = 0.0;
         for (int s = 0; s < params.steps; ++s) {
-            logSpot += drift + diffusion * rng.normal();
+            logSpot += drift + diffusion * normal();
             pathSum += std::exp(logSpot);
         }
         const double average = pathSum / params.steps;
@@ -75,6 +80,7 @@ MonteCarloPricer::priceEuropean(const AsianOptionParams& params,
 {
     TPC_CHECK(paths > 0);
     util::Rng rng(seed);
+    util::ZigguratNormal normal(rng);
     // Terminal price can be sampled in one step: S_T = S0 exp((r - v^2/2)T
     // + v sqrt(T) Z).
     const double drift = (params.riskFreeRate -
@@ -86,7 +92,7 @@ MonteCarloPricer::priceEuropean(const AsianOptionParams& params,
     double sumSq = 0.0;
     for (std::uint64_t p = 0; p < paths; ++p) {
         const double terminal =
-            params.spot * std::exp(drift + diffusion * rng.normal());
+            params.spot * std::exp(drift + diffusion * normal());
         const double payoff = std::max(terminal - params.strike, 0.0);
         sum += payoff;
         sumSq += payoff * payoff;
@@ -130,18 +136,27 @@ DemandEstimator::calibrate(const MonteCarloPricer& pricer,
 {
     using Clock = std::chrono::steady_clock;
     constexpr std::uint64_t kCalibrationPaths = 4000;
-    // Warm-up run, then a timed run.
+    constexpr int kTimedRuns = 5;
+    // Warm-up run, then the median of several timed runs: one run lasts
+    // only a few ms, so a single preemption or frequency step would
+    // otherwise set every request's prediction.
     double sum = 0.0;
     double sumSq = 0.0;
     pricer.priceChunk(params, kCalibrationPaths / 4, 1, sum, sumSq);
-    const auto start = Clock::now();
-    pricer.priceChunk(params, kCalibrationPaths, 2, sum, sumSq);
-    const auto elapsedNs =
-        std::chrono::duration<double, std::nano>(Clock::now() - start)
-            .count();
+    std::array<double, kTimedRuns> elapsedNs{};
+    for (int run = 0; run < kTimedRuns; ++run) {
+        const auto start = Clock::now();
+        pricer.priceChunk(params, kCalibrationPaths,
+                          2 + static_cast<std::uint64_t>(run), sum, sumSq);
+        elapsedNs[static_cast<std::size_t>(run)] =
+            std::chrono::duration<double, std::nano>(Clock::now() - start)
+                .count();
+    }
+    std::nth_element(elapsedNs.begin(), elapsedNs.begin() + kTimedRuns / 2,
+                     elapsedNs.end());
     const double steps =
         static_cast<double>(kCalibrationPaths) * params.steps;
-    return DemandEstimator(elapsedNs / steps);
+    return DemandEstimator(elapsedNs[kTimedRuns / 2] / steps);
 }
 
 double

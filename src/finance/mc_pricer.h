@@ -92,7 +92,8 @@ double standardNormalCdf(double x);
 class DemandEstimator
 {
   public:
-    /** Calibrates the per-step cost by timing a short pricing run. */
+    /** Calibrates the per-step cost: the median of five timed short
+     *  pricing runs. */
     static DemandEstimator calibrate(const MonteCarloPricer& pricer,
                                      const AsianOptionParams& params);
 

@@ -501,6 +501,7 @@ runLoadGen(const LoadGenConfig& config)
                     obs::deriveTraceId(config.seed ^ 0xC11E57ull, seq);
             }
             ++result.sent;
+            result.lateness.add(nowMs - pending.arrivalMs);
             if (TenantLoadGenResult* t = slice(pending.tenantIdx))
                 ++t->sent;
             if (!sendAttempt(seq, pending, nowMs)) {
@@ -542,9 +543,12 @@ runLoadGen(const LoadGenConfig& config)
                 std::min(untilMs, timeoutQueue.begin()->first - nowMs);
         if (!retryQueue.empty())
             untilMs = std::min(untilMs, retryQueue.begin()->first - nowMs);
-        const int timeoutMs =
-            std::clamp(static_cast<int>(std::ceil(untilMs)), 0, 10);
-        poller.wait(events, timeoutMs);
+        // Microsecond precision: rounding up to whole ms would send each
+        // request up to 1 ms late and count that as server latency.
+        const auto timeoutUs = std::chrono::microseconds(std::clamp(
+            static_cast<std::int64_t>(std::ceil(untilMs * 1000.0)),
+            std::int64_t{0}, std::int64_t{10000}));
+        poller.wait(events, timeoutUs);
 
         for (const PollEvent& ev : events) {
             std::size_t connIdx = conns.size();

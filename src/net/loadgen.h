@@ -166,6 +166,10 @@ struct LoadGenResult
     /** Response time of each OK response (ms), measured from the
      *  *scheduled* arrival — open-loop convention. */
     stats::LatencyRecorder latency;
+    /** Client lateness of each first send (ms): actual send time minus
+     *  scheduled arrival. Part of every `latency` sample, so it must stay
+     *  small for `latency` to measure the server. */
+    stats::LatencyRecorder lateness;
     /** Requests handed to the arrival process. */
     std::uint64_t sent = 0;
     /** OK responses received. */

@@ -1,7 +1,10 @@
 #include "net/poller.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include "util/logging.h"
 
@@ -9,11 +12,32 @@
 #include <sys/epoll.h>
 #include <unistd.h>
 #else
-#include <algorithm>
 #include <poll.h>
 #endif
 
 namespace tpc::net {
+
+namespace {
+
+/** A microsecond timeout rounded up to whole ms (negative = forever). */
+int
+ceilMs(std::chrono::microseconds timeout)
+{
+    if (timeout.count() < 0)
+        return -1;
+    return static_cast<int>(std::min<std::int64_t>(
+        (timeout.count() + 999) / 1000, std::numeric_limits<int>::max()));
+}
+
+} // namespace
+
+int
+Poller::wait(std::vector<PollEvent>& out, int timeoutMs)
+{
+    return wait(out, timeoutMs < 0 ? std::chrono::microseconds(-1)
+                                   : std::chrono::microseconds(
+                                         std::int64_t{timeoutMs} * 1000));
+}
 
 #if defined(__linux__)
 
@@ -84,13 +108,31 @@ Poller::remove(int fd)
 }
 
 int
-Poller::wait(std::vector<PollEvent>& out, int timeoutMs)
+Poller::wait(std::vector<PollEvent>& out, std::chrono::microseconds timeout)
 {
+    // epoll_pwait2 (Linux 5.11+) takes a timespec. An older kernel
+    // answers ENOSYS, and a seccomp profile that predates the call EPERM;
+    // after either, waits round up to whole ms.
+    static std::atomic<bool> havePwait2{true};
     epoll_event events[64];
     int n;
-    do {
-        n = ::epoll_wait(epollFd_, events, 64, timeoutMs);
-    } while (n < 0 && errno == EINTR);
+    for (;;) {
+        if (havePwait2.load(std::memory_order_relaxed)) {
+            timespec ts{};
+            ts.tv_sec = static_cast<time_t>(timeout.count() / 1000000);
+            ts.tv_nsec = static_cast<long>(timeout.count() % 1000000) * 1000;
+            n = ::epoll_pwait2(epollFd_, events, 64,
+                               timeout.count() < 0 ? nullptr : &ts, nullptr);
+            if (n < 0 && (errno == ENOSYS || errno == EPERM)) {
+                havePwait2.store(false, std::memory_order_relaxed);
+                continue;
+            }
+        } else {
+            n = ::epoll_wait(epollFd_, events, 64, ceilMs(timeout));
+        }
+        if (n >= 0 || errno != EINTR)
+            break;
+    }
     TPC_CHECK(n >= 0);
     out.clear();
     out.reserve(static_cast<std::size_t>(n));
@@ -133,8 +175,9 @@ Poller::remove(int fd)
 }
 
 int
-Poller::wait(std::vector<PollEvent>& out, int timeoutMs)
+Poller::wait(std::vector<PollEvent>& out, std::chrono::microseconds timeout)
 {
+    const int timeoutMs = ceilMs(timeout);
     std::vector<pollfd> fds;
     fds.reserve(registrations_.size());
     for (const Registration& reg : registrations_) {

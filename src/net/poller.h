@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -54,6 +55,13 @@ class Poller
      * @p out with ready descriptors. Returns the number of events.
      */
     int wait(std::vector<PollEvent>& out, int timeoutMs);
+
+    /**
+     * As above with a microsecond timeout (negative = forever). Linux
+     * honours it to the microsecond (epoll_pwait2); the poll(2)
+     * fallback rounds it up to whole milliseconds.
+     */
+    int wait(std::vector<PollEvent>& out, std::chrono::microseconds timeout);
 
   private:
 #if defined(__linux__)

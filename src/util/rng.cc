@@ -15,16 +15,6 @@ splitmix64Next(std::uint64_t& state)
     return z ^ (z >> 31);
 }
 
-namespace {
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(std::uint64_t seed)
 {
     // Seed the full 256-bit state from splitmix64 as recommended by the
@@ -34,27 +24,6 @@ Rng::Rng(std::uint64_t seed)
         word = splitmix64Next(sm);
     if (s_[0] == 0 && s_[1] == 0 && s_[2] == 0 && s_[3] == 0)
         s_[0] = 0x9e3779b97f4a7c15ull;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 random mantissa bits -> uniform double in [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double

@@ -42,11 +42,27 @@ class Rng
     /** Returns the next 64 raw bits. */
     result_type operator()() { return next(); }
 
-    /** Returns the next 64 raw bits. */
-    std::uint64_t next();
+    /** Returns the next 64 raw bits. Inline: hot loops (the Monte Carlo
+     *  pricer's normal draws) call it once per sample. */
+    std::uint64_t next()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Returns a double uniform in [0, 1). */
-    double uniform();
+    double uniform()
+    {
+        // 53 random mantissa bits -> uniform double in [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Returns a double uniform in [lo, hi). Requires lo <= hi. */
     double uniform(double lo, double hi);
@@ -82,6 +98,11 @@ class Rng
     Rng split();
 
   private:
+    static std::uint64_t rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     double cachedNormal_ = 0.0;
     bool hasCachedNormal_ = false;

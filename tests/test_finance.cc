@@ -1,12 +1,18 @@
 /**
  * @file
  * Tests for the finance substrate: Monte Carlo pricer correctness
- * (convergence, chunk composition, determinism), the analytic demand
+ * (convergence, chunk composition across orders and threads,
+ * determinism), the analytic demand
  * estimator, and the workload generator.
  */
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "finance/mc_pricer.h"
 #include "finance/workload.h"
@@ -26,24 +32,57 @@ TEST(MonteCarloPricer, DeterministicForSeed)
 
 TEST(MonteCarloPricer, ChunksComposeToWholeRun)
 {
-    // Summing chunk results with the same seeds must equal one big run
-    // split the same way — the property parallel execution relies on.
+    // Each chunk's sums depend only on its seed, never on which thread
+    // ran it or when — the property parallel execution relies on.
     MonteCarloPricer pricer;
     AsianOptionParams params;
-    double sumA = 0.0;
-    double sumSqA = 0.0;
-    for (int c = 0; c < 4; ++c) {
-        double s = 0.0;
-        double sq = 0.0;
-        pricer.priceChunk(params, 500, 100 + c, s, sq);
-        sumA += s;
-        sumSqA += sq;
+    constexpr int kChunks = 4;
+    constexpr std::uint64_t kPathsPerChunk = 500;
+    using Sums = std::array<std::pair<double, double>, kChunks>;
+    auto runChunk = [&](Sums& sums, int c) {
+        pricer.priceChunk(params, kPathsPerChunk,
+                          100 + static_cast<std::uint64_t>(c),
+                          sums[static_cast<std::size_t>(c)].first,
+                          sums[static_cast<std::size_t>(c)].second);
+    };
+
+    Sums inOrder{};
+    for (int c = 0; c < kChunks; ++c)
+        runChunk(inOrder, c);
+    Sums reversed{};
+    for (int c = kChunks - 1; c >= 0; --c)
+        runChunk(reversed, c);
+    Sums threaded{};
+    std::vector<std::thread> workers;
+    for (int c = 0; c < kChunks; ++c)
+        workers.emplace_back([&, c] { runChunk(threaded, c); });
+    for (std::thread& w : workers)
+        w.join();
+
+    for (std::size_t c = 0; c < kChunks; ++c) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed[c].first),
+                  std::bit_cast<std::uint64_t>(inOrder[c].first));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(reversed[c].second),
+                  std::bit_cast<std::uint64_t>(inOrder[c].second));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded[c].first),
+                  std::bit_cast<std::uint64_t>(inOrder[c].first));
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(threaded[c].second),
+                  std::bit_cast<std::uint64_t>(inOrder[c].second));
+        EXPECT_GT(inOrder[c].first, 0.0);
     }
+
+    // A whole run is one chunk: price() == combine(priceChunk()).
+    double sum = 0.0;
+    double sumSq = 0.0;
+    pricer.priceChunk(params, 2000, 7, sum, sumSq);
     const PriceResult combined =
-        MonteCarloPricer::combine(params, 2000, sumA, sumSqA);
-    EXPECT_GT(combined.price, 0.0);
-    EXPECT_GT(combined.standardError, 0.0);
-    EXPECT_EQ(combined.paths, 2000u);
+        MonteCarloPricer::combine(params, 2000, sum, sumSq);
+    const PriceResult whole = pricer.price(params, 2000, 7);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(whole.price),
+              std::bit_cast<std::uint64_t>(combined.price));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(whole.standardError),
+              std::bit_cast<std::uint64_t>(combined.standardError));
+    EXPECT_EQ(whole.paths, 2000u);
 }
 
 TEST(MonteCarloPricer, ConvergesNearReferencePrice)

@@ -12,6 +12,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "harness/policies.h"
 #include "net/admission.h"
 #include "net/loadgen.h"
+#include "net/poller.h"
 #include "net/rpc_server.h"
 #include "net/statsz_client.h"
 #include "obs/metrics.h"
@@ -43,6 +45,28 @@ busyWaitMs(double ms)
     while (std::chrono::steady_clock::now() < until)
         std::this_thread::yield();
 }
+
+#if defined(__linux__)
+TEST(Poller, MicrosecondTimeoutIsNotRoundedUpToWholeMs)
+{
+    // The open-loop client paces its sends with these waits, so a sub-ms
+    // timeout must neither return early nor stretch to a whole ms.
+    Poller poller;
+    std::vector<PollEvent> events;
+    double fastestUs = 1e9;
+    for (int i = 0; i < 5; ++i) {
+        const auto start = std::chrono::steady_clock::now();
+        EXPECT_EQ(poller.wait(events, std::chrono::microseconds(200)), 0);
+        const double elapsedUs =
+            std::chrono::duration<double, std::micro>(
+                std::chrono::steady_clock::now() - start)
+                .count();
+        EXPECT_GE(elapsedUs, 200.0);
+        fastestUs = std::min(fastestUs, elapsedUs);
+    }
+    EXPECT_LT(fastestUs, 1000.0);
+}
+#endif
 
 TEST(AdmissionController, EnforcesInFlightLimit)
 {

@@ -23,6 +23,28 @@ TEST(Rng, DeterministicForSameSeed)
         EXPECT_EQ(a.next(), b.next());
 }
 
+TEST(Rng, GoldenStreamForFixedSeed)
+{
+    // Every workload, trace and query generator and every committed
+    // simulation figure is defined by these streams: they must never
+    // change.
+    constexpr std::uint64_t kSeed = 20260418;
+    const std::uint64_t expectedNext[] = {
+        0xe87fc0b0c73184a8ull, 0x24028d546a17ca5dull, 0x2989e8a2b3829120ull,
+        0x9bdf0744c1b0f7bbull, 0x9c71b1785a48a5d0ull, 0xcdba1f1bae7e5212ull,
+        0xd244f36ccfccf7d0ull, 0x72c7f256ecf3cd8bull};
+    const double expectedNormal[] = {
+        0x1.1cfecc911c926p-2,  0x1.5b70ec56b9a7cp-2,  -0x1.7a60d7bfa938bp+0,
+        -0x1.3487d0ae15b5fp+0, 0x1.4ff3d930ebd0ap-2,  -0x1.df912caf7537ep-1,
+        -0x1.3072e70b49618p-1, 0x1.9993b2aee628p-3};
+    Rng raw(kSeed);
+    for (const std::uint64_t expected : expectedNext)
+        EXPECT_EQ(raw.next(), expected);
+    Rng normals(kSeed);
+    for (const double expected : expectedNormal)
+        EXPECT_EQ(normals.normal(), expected);
+}
+
 TEST(Rng, DifferentSeedsDiverge)
 {
     Rng a(1);
